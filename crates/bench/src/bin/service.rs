@@ -1,61 +1,63 @@
-//! Closed-loop load generator for the `kvserve` durable KV service.
+//! Load generator for the `kvserve` durable KV service.
 //!
 //! Runs four YCSB-style mixes — read-heavy (95% get / 5% put),
 //! update-heavy (50% get / 50% put), scan (atomic same-shard multi-get
 //! windows) and cross-shard (atomic multi-puts spanning several shards,
 //! committed via the 2PC coordinator) — across a sweep of shard counts
-//! and batch-size caps, printing per-shard throughput, latency
-//! percentiles, abort rates, mean committed batch sizes and a
-//! per-outcome tally (ok / overloaded / timeout / aborted) so rejected
-//! requests are reported as distinct outcomes rather than treated as
-//! errors.
+//! and batch-size caps, printing throughput, client-side latency
+//! percentiles, the persist bill per op and a per-verdict tally (ok /
+//! overloaded / ring-full / timeout / aborted / stopped / rerouted) so
+//! rejected requests are reported as distinct outcomes rather than
+//! treated as errors.
+//!
+//! Every cell runs **one load driver on one thread**. It keeps requests
+//! in flight over a transport — the completion ring (`Service::ring()`)
+//! or, with `--net`, one pipelined `NetClient` over loopback TCP
+//! (`Service::serve_net`) — in one of two ways:
+//!
+//! - **window** (closed loop, the default): `--clients N` requests stay
+//!   outstanding; the next is submitted when one completes;
+//! - **rate** (open loop, `--open-loop`, and always with `--net`):
+//!   Poisson arrivals at each offered rate in `--rates`,
+//!   submitted when the virtual schedule says an arrival is due,
+//!   however far the service has fallen behind — the methodology that
+//!   exposes coordinated omission. Completions are reaped between
+//!   arrivals without ever parking per request.
+//!
+//! Latency is measured the same way in every mode: client-side, from
+//! the submit (or send) call to the reap of an OK verdict, as exact
+//! sorted samples. Queue wait, and on `--net` framing and both socket
+//! hops, are inside the measurement.
 //!
 //! The persistent-memory latency model defaults to Optane so the
 //! flush/fence amortization from batching is visible (update-heavy
 //! throughput should rise with `batch_max`); pass `--fast` to zero the
-//! latency model for a quick functional sweep.
+//! latency model for a quick functional sweep. Keys draw YCSB-Zipfian
+//! with `--zipf <theta>` (0 = uniform). Every report carries a
+//! sequential in-memory baseline (a plain `std` HashMap on one thread —
+//! no durability, no concurrency) as the upper bound the durable
+//! service is amortizing toward.
 //!
-//! `--repl` runs every cell with per-shard follower replication and
-//! semi-synchronous acks: the report gains the replication lag (entries
-//! the followers' applied state is behind the primaries) and each cell
-//! ends with a full failover — every primary pool dropped, the followers
-//! promoted — reporting the measured failover time.
+//! Two hooks ride on the driver:
 //!
-//! `--open-loop` switches from the closed-loop regime (in-flight depth
-//! = client threads, each blocking per request) to an **open-loop**
-//! load generator over the completion ring: a single submitting thread
-//! offers requests at a controlled arrival rate (`--rates`, Poisson or
-//! fixed-interval gaps via `--arrival`), reaps completions without ever
-//! parking per request, and reports latency percentiles *at that
-//! offered rate* — the methodology that exposes coordinated omission.
-//! Keys draw YCSB-Zipfian with `--zipf <theta>` (0 = uniform). Each
-//! open-loop report starts with a sequential in-memory baseline (a
-//! plain `std` HashMap on one thread — no durability, no concurrency)
-//! as the upper bound the durable service is amortizing toward.
-//!
-//! `--net` runs the open-loop generator **through the wire-protocol
-//! front end**: the service is served over loopback TCP
-//! (`Service::serve_net`), and a single submitting thread drives framed
-//! request batches through one `NetClient` at the offered rate, reaping
-//! response frames opportunistically — never parking per request — so
-//! the socket path is measured under the same coordinated-omission-free
-//! methodology as `--open-loop`. Latency percentiles are *client-side*
-//! (send-to-response on the wire, queueing included); explicit `Busy`
-//! frames — the wire rendering of ring backpressure — are counted as
-//! their own outcome, and the report carries the server's frame/byte
-//! counters alongside the ring and persist numbers.
-//!
-//! `--migrate` measures **elastic resharding under load**: each cell
-//! runs the closed-loop clients through ring handles, splits shard 0
-//! live mid-run (streaming its moving slots to a newly provisioned
-//! shard and flipping the routing table), and reports the throughput
-//! before / during / after the migration, the measured write-pause at
-//! the flip, and how many requests saw a reroute retry — the dip is the
-//! cost of elasticity, the pause is the only moment writes wait.
+//! - `--migrate` measures **elastic resharding under load**: a second
+//!   thread splits shard 0 live mid-run (streaming its moving slots to a
+//!   newly provisioned shard and flipping the routing table) between a
+//!   pre- and a post-migration window; the report gives the driver's
+//!   throughput before / during / after, the write-pause at the flip,
+//!   and how many requests saw a reroute — the dip is the cost of
+//!   elasticity, the pause is the only moment writes wait;
+//! - `--repl` runs every cell with per-shard follower replication and
+//!   semi-synchronous acks: the report gains the replication lag
+//!   (entries the followers' applied state is behind the primaries) and
+//!   each cell ends with a full failover — every primary pool dropped,
+//!   the followers promoted — reporting the measured failover time.
 //!
 //! `--out FILE` writes the run as a `kvserve-bench-v1` JSON artifact
-//! (see docs/benchmarking.md) in either mode; CI schema-validates the
-//! committed `BENCH_*.json` files with `cargo xtask check-bench`.
+//! (see docs/benchmarking.md); CI schema-validates the committed
+//! `BENCH_*.json` files with `cargo xtask check-bench`. A transport
+//! error or a verdict the service contract does not allow ends the run
+//! with a message and a non-zero exit.
 //!
 //! ```text
 //! cargo run -p bench --release --bin service -- \
@@ -70,11 +72,13 @@
 use bench::json::Json;
 use bench::{fmt_tput, Args};
 use kvserve::{
-    MapOp, MigrateSpec, NetClient, NetConfig, Ring, ServeError, Service, ServiceConfig, Ticket,
+    MapOp, MigrateReport, MigrateSpec, NetClient, NetConfig, NetError, Reply, Ring, RoutingTable,
+    ServeError, Service, ServiceConfig,
 };
 use pmem::LatencyModel;
 use std::collections::HashMap;
-use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
+use std::process::ExitCode;
+use std::sync::atomic::{AtomicUsize, Ordering};
 use std::time::{Duration, Instant};
 use tm::stats::Counter;
 
@@ -110,47 +114,27 @@ const SCAN_WINDOW: usize = 8;
 /// Shards an atomic cross-shard multi-put spans (upper bound).
 const XSHARD_SPAN: usize = 4;
 
-/// Per-cell request outcome tally. Backpressure, deadline and conflict
-/// rejections are expected service responses under load, not failures,
-/// so they are counted and reported instead of aborting the run.
-#[derive(Default)]
-struct Outcomes {
-    ok: AtomicU64,
-    overloaded: AtomicU64,
-    timeout: AtomicU64,
-    aborted: AtomicU64,
-}
-
-#[derive(Clone, Copy, PartialEq, Eq)]
-enum Arrival {
-    /// Exponentially distributed inter-arrival gaps (Poisson process).
-    Poisson,
-    /// Fixed inter-arrival gaps (deterministic pacing).
-    Fixed,
-}
-
-impl Arrival {
-    fn label(self) -> &'static str {
-        match self {
-            Arrival::Poisson => "poisson",
-            Arrival::Fixed => "fixed",
-        }
-    }
+/// How the driver keeps requests in flight.
+#[derive(Clone, Copy)]
+enum Load {
+    /// Closed loop: keep this many requests outstanding.
+    Window(usize),
+    /// Open loop: Poisson arrivals at this many requests per second.
+    Rate(f64),
 }
 
 struct Sweep {
     mixes: Vec<Mix>,
     shard_counts: Vec<usize>,
     batch_caps: Vec<usize>,
-    clients: usize,
+    loads: Vec<Load>,
     seconds: f64,
     keys: u64,
     fast: bool,
     repl: bool,
-    /// Open-loop offered rates (requests/sec).
-    rates: Vec<f64>,
-    arrival: Arrival,
-    /// Zipfian skew for open-loop key draws; 0 = uniform.
+    net: bool,
+    migrate: bool,
+    /// Zipfian skew for key draws; 0 = uniform.
     zipf_theta: f64,
     /// Shipper group-commit window in microseconds (0 = disabled): how
     /// long a woken shipper lingers so more op-log entries ride one
@@ -158,11 +142,30 @@ struct Sweep {
     ship_coalesce_us: u64,
 }
 
-fn main() {
+fn main() -> ExitCode {
+    match run() {
+        Ok(()) => ExitCode::SUCCESS,
+        Err(e) => {
+            eprintln!("service bench: {e}");
+            ExitCode::FAILURE
+        }
+    }
+}
+
+fn run() -> Result<(), String> {
     let args = Args::parse();
-    let open_loop = args.get("open-loop").is_some();
-    let migrate = args.get("migrate").is_some();
     let net = args.get("net").is_some();
+    let open = args.get("open-loop").is_some() || net;
+    let loads = if open {
+        args.list("rates")
+            .map(|v| v.iter().filter_map(|s| s.parse().ok()).collect())
+            .unwrap_or_else(|| vec![5_000.0, 20_000.0, 80_000.0])
+            .into_iter()
+            .map(Load::Rate)
+            .collect()
+    } else {
+        vec![Load::Window(args.get_or("clients", 8usize).max(1))]
+    };
     let sweep = Sweep {
         mixes: args
             .list("mixes")
@@ -176,81 +179,56 @@ fn main() {
             .list("batch")
             .map(|v| v.iter().filter_map(|s| s.parse().ok()).collect())
             .unwrap_or_else(|| vec![1, 8]),
-        clients: args.get_or("clients", 8),
+        loads,
         seconds: args.get_or("seconds", 0.4),
         keys: args.get_or("keys", 1u64 << 13),
         fast: args.get("fast").is_some(),
         repl: args.get("repl").is_some(),
-        rates: args
-            .list("rates")
-            .map(|v| v.iter().filter_map(|s| s.parse().ok()).collect())
-            .unwrap_or_else(|| vec![5_000.0, 20_000.0, 80_000.0]),
-        arrival: match args.get("arrival") {
-            Some("fixed") => Arrival::Fixed,
-            _ => Arrival::Poisson,
-        },
+        net,
+        migrate: args.get("migrate").is_some(),
         zipf_theta: args.get_or("zipf", 0.0),
         ship_coalesce_us: args.get_or("ship-coalesce", 0u64),
     };
-    let cells = if migrate {
-        run_migrate(&sweep)
-    } else if net {
-        run_net_loop(&sweep)
-    } else if open_loop {
-        run_open_loop(&sweep)
+    let mode = if sweep.migrate {
+        "migrate".to_string()
     } else {
-        run_closed_loop(&sweep)
+        let load = if open { "open-loop" } else { "closed-loop" };
+        format!("{}{load}", if net { "net-" } else { "" })
     };
-    if let Some(path) = args.get("out") {
-        let report = Json::obj()
-            .field("schema", "kvserve-bench-v1")
-            .field(
-                "mode",
-                if migrate {
-                    "migrate"
-                } else if net {
-                    "net-open-loop"
-                } else if open_loop {
-                    "open-loop"
-                } else {
-                    "closed-loop"
-                },
-            )
-            .field("pm", if sweep.fast { "zero-latency" } else { "optane" })
-            .field("keys", sweep.keys)
-            .field("zipf_theta", sweep.zipf_theta)
-            .field("arrival", sweep.arrival.label())
-            .field("replication", sweep.repl)
-            .field("baseline", baseline_json(&sweep))
-            .field("summary", summary_json(&cells))
-            .field("cells", Json::Arr(cells));
-        std::fs::write(path, format!("{report}\n")).expect("write bench artifact");
-        println!("\nwrote {path}");
-    }
-}
-
-fn run_closed_loop(sweep: &Sweep) -> Vec<Json> {
+    let pm = if sweep.fast { "zero-latency" } else { "optane" };
     println!(
-        "kvserve service benchmark: {} keys, {} clients, {:.2}s per cell, pm={}{}",
-        sweep.keys,
-        sweep.clients,
-        sweep.seconds,
-        if sweep.fast { "zero-latency" } else { "optane" },
-        if sweep.repl {
-            ", replication=semi-sync"
-        } else {
-            ""
-        },
+        "kvserve service benchmark ({mode}): {} keys, zipf theta={}, {:.2}s per cell, pm={pm}, replication={}",
+        sweep.keys, sweep.zipf_theta, sweep.seconds, sweep.repl,
     );
     let mut cells = Vec::new();
+    let mut summary = Summary::default();
     for &mix in &sweep.mixes {
         for &shards in &sweep.shard_counts {
             for &batch in &sweep.batch_caps {
-                cells.push(run_cell(sweep, mix, shards, batch));
+                for &load in &sweep.loads {
+                    let cell = run_cell(&sweep, mix, shards, batch, load, &mut summary);
+                    cells.push(cell.map_err(|e| {
+                        format!("mix={} shards={shards} batch_max={batch}: {e}", mix.label())
+                    })?);
+                }
             }
         }
     }
-    cells
+    if let Some(path) = args.get("out") {
+        let report = Json::obj()
+            .field("schema", "kvserve-bench-v1")
+            .field("mode", mode)
+            .field("pm", pm)
+            .field("keys", sweep.keys)
+            .field("zipf_theta", sweep.zipf_theta)
+            .field("replication", sweep.repl)
+            .field("baseline", baseline_json(&sweep))
+            .field("summary", summary.json())
+            .field("cells", Json::Arr(cells));
+        std::fs::write(path, format!("{report}\n")).map_err(|e| format!("writing {path}: {e}"))?;
+        println!("\nwrote {path}");
+    }
+    Ok(())
 }
 
 /// Peak achieved throughput, in-flight depth, and worst-case persist
@@ -258,34 +236,22 @@ fn run_closed_loop(sweep: &Sweep) -> Vec<Json> {
 /// `cargo xtask check-bench --max-flushes-per-op` gates: no cell of the
 /// committed artifact may spend more flushes (or fences) per completed
 /// operation than the threshold.
-fn summary_json(cells: &[Json]) -> Json {
-    let mut max_in_flight = 0u64;
-    let mut peak = 0.0f64;
-    let (mut max_flushes, mut max_fences) = (0.0f64, 0.0f64);
-    for c in cells {
-        let Json::Obj(fields) = c else { continue };
-        for (k, v) in fields {
-            match (k.as_str(), v) {
-                ("max_in_flight", Json::Int(n)) => max_in_flight = max_in_flight.max(*n),
-                ("tput_ops_per_sec", Json::Num(t)) => peak = peak.max(*t),
-                ("persist", Json::Obj(p)) => {
-                    for (pk, pv) in p {
-                        match (pk.as_str(), pv) {
-                            ("flushes_per_op", Json::Num(f)) => max_flushes = max_flushes.max(*f),
-                            ("fences_per_op", Json::Num(f)) => max_fences = max_fences.max(*f),
-                            _ => {}
-                        }
-                    }
-                }
-                _ => {}
-            }
-        }
+#[derive(Default)]
+struct Summary {
+    max_in_flight: u64,
+    peak_tput: f64,
+    max_flushes: f64,
+    max_fences: f64,
+}
+
+impl Summary {
+    fn json(&self) -> Json {
+        Json::obj()
+            .field("max_in_flight", self.max_in_flight)
+            .field("peak_tput_ops_per_sec", self.peak_tput)
+            .field("max_flushes_per_op", self.max_flushes)
+            .field("max_fences_per_op", self.max_fences)
     }
-    Json::obj()
-        .field("max_in_flight", max_in_flight)
-        .field("peak_tput_ops_per_sec", peak)
-        .field("max_flushes_per_op", max_flushes)
-        .field("max_fences_per_op", max_fences)
 }
 
 fn service_config(sweep: &Sweep, shards: usize, batch: usize) -> ServiceConfig {
@@ -304,78 +270,86 @@ fn service_config(sweep: &Sweep, shards: usize, batch: usize) -> ServiceConfig {
     cfg
 }
 
-fn run_cell(sweep: &Sweep, mix: Mix, shards: usize, batch: usize) -> Json {
-    let svc = Service::new(service_config(sweep, shards, batch));
+/// Keys the prefill writes: half the key range, picked by hash.
+fn prefilled(k: u64) -> bool {
+    k.wrapping_mul(0x9e37_79b9_7f4a_7c15) >> 63 == 0
+}
 
+/// The value of the phase counter that ends a drive.
+const END: usize = usize::MAX;
+/// Most requests the open-loop driver submits, and most completions it
+/// reaps, before it turns to the other. Draining after every send kept
+/// a 400k req/s socket cell to about half its arrivals; bursts let one
+/// round of reaps serve many sends. Capping the reaps too keeps a
+/// saturated ring full: a round never frees more slots than the next
+/// round can refill.
+const BURST: usize = 64;
+
+/// One cell: a prefilled service, the driver on this thread, the cell's
+/// clock (and the migration, if any) on a second one, then the report.
+fn run_cell(
+    sweep: &Sweep,
+    mix: Mix,
+    shards: usize,
+    batch: usize,
+    load: Load,
+    summary: &mut Summary,
+) -> Result<Json, String> {
+    let svc = Service::new(service_config(sweep, shards, batch));
     // Prefill half the key range, then zero the service metrics so the
     // measurement window starts clean.
-    for k in 0..sweep.keys {
-        if k.wrapping_mul(0x9e37_79b9_7f4a_7c15) >> 63 == 0 {
-            svc.put(k, k + 1).expect("prefill write");
-        }
+    for k in (0..sweep.keys).filter(|&k| prefilled(k)) {
+        svc.put(k, k + 1)
+            .map_err(|e| format!("prefill write: {e}"))?;
     }
     svc.reset_metrics();
     let before = svc.snapshot();
-    let tm_before: Vec<_> = before.shards.iter().map(|s| s.tm).collect();
-    let coord_before = before.coordinator.tm;
 
-    let stop = AtomicBool::new(false);
-    let outcomes = Outcomes::default();
-    let start = Instant::now();
-    std::thread::scope(|scope| {
-        for c in 0..sweep.clients {
-            let (svc, stop, outcomes) = (&svc, &stop, &outcomes);
-            scope.spawn(move || client_loop(svc, stop, outcomes, mix, sweep.keys, c as u64));
-        }
-        while start.elapsed().as_secs_f64() < sweep.seconds {
-            std::thread::sleep(Duration::from_millis(5));
-        }
-        stop.store(true, Ordering::Relaxed);
+    let (mut transport, server) = if sweep.net {
+        let server = (svc.serve_net(NetConfig::default()))
+            .map_err(|e| format!("binding the loopback server: {e}"))?;
+        let client = NetClient::connect(server.local_addr())
+            .map_err(|e| format!("connecting to the loopback server: {e}"))?;
+        (Transport::Net(client), Some(server))
+    } else {
+        // The ring handle (not the consumed `Service`) is what survives
+        // a migration: the shared router re-targets it at the flip.
+        (Transport::Ring(svc.ring()), None)
+    };
+    let (load_key, load_val) = match load {
+        Load::Window(w) => ("clients", w as f64),
+        Load::Rate(r) => ("offered_rate", r),
+    };
+    let mut gen = Gen::new(sweep, mix, shards, 0x0be7_ca11 ^ load_val as u64);
+    let phase = AtomicUsize::new(0);
+    let (clock, driven) = std::thread::scope(|scope| {
+        let clock = scope.spawn(|| cell_clock(sweep, svc, &phase));
+        let driven = drive(&mut transport, load, &mut gen, &phase);
+        (clock.join(), driven)
     });
-    let secs = start.elapsed().as_secs_f64();
+    let (svc, migration) = clock.map_err(|_| "the cell's clock thread panicked".to_string())?;
+    let mut tally = driven?;
+    let net = server.map(|server| {
+        let m = server.metrics();
+        drop(transport);
+        server.stop();
+        m
+    });
 
     // Report with TM statistics windowed to the measurement period.
     let mut snap = svc.snapshot();
-    for (s, before) in snap.shards.iter_mut().zip(&tm_before) {
-        s.tm = s.tm.since(before);
+    for (s, b) in snap.shards.iter_mut().zip(&before.shards) {
+        s.tm = s.tm.since(&b.tm);
     }
-    snap.coordinator.tm = snap.coordinator.tm.since(&coord_before);
-    println!(
-        "\n== mix={} shards={} batch_max={} ==",
-        mix.label(),
-        shards,
-        batch
-    );
-    for s in &snap.shards {
-        println!("  {s}  tput={}/s", fmt_tput(s.ops() as f64 / secs));
-    }
-    println!(
-        "  total: tput={}/s mean_batch={:.2} p50={:?} p99={:?} abort_rate={:.3}",
-        fmt_tput((snap.ops() + snap.coordinator.cross_ops) as f64 / secs),
-        snap.mean_batch(),
-        snap.latency_quantile(0.50).unwrap_or_default(),
-        snap.latency_quantile(0.99).unwrap_or_default(),
-        snap.abort_rate(),
-    );
-    println!(
-        "  outcomes: ok={} overloaded={} timeout={} aborted={}",
-        outcomes.ok.load(Ordering::Relaxed),
-        outcomes.overloaded.load(Ordering::Relaxed),
-        outcomes.timeout.load(Ordering::Relaxed),
-        outcomes.aborted.load(Ordering::Relaxed),
-    );
-    // The blocking calls ride the internal completion ring, so the ring
-    // line shows queue-inclusive submit-to-complete latency and the
-    // closed-loop in-flight depth (≈ client threads).
-    println!("  {}", snap.ring);
+    snap.coordinator.tm = snap.coordinator.tm.since(&before.coordinator.tm);
     // Persist-overhead for the measurement window, summed over the shard
     // TMs *and* the 2PC coordinator's decision-log TM (its decision and
     // resolve commits are part of every cross-shard batch's persistence
-    // bill): flushes and fences per committed transaction show how well
-    // batching amortizes the persist cost, and redundant flushes (lines
-    // flushed with no store since their last flush) are pure waste the
+    // bill): flushes and fences per committed op show how well batching
+    // amortizes the persist cost, and redundant flushes (lines flushed
+    // with no store since their last flush) are pure waste the
     // sanitizer's perf class counts.
-    let (mut flushes, mut redundant, mut fences, mut commits) = (0u64, 0u64, 0u64, 0u64);
+    let (mut flushes, mut redundant, mut fences) = (0u64, 0u64, 0u64);
     for tm in snap
         .shards
         .iter()
@@ -385,35 +359,141 @@ fn run_cell(sweep: &Sweep, mix: Mix, shards: usize, batch: usize) -> Json {
         flushes += tm.get(Counter::Flush);
         redundant += tm.get(Counter::RedundantFlush);
         fences += tm.get(Counter::Fence);
-        commits += tm.commits();
     }
-    let per_commit = |n: u64| {
-        if commits == 0 {
-            0.0
-        } else {
-            n as f64 / commits as f64
-        }
-    };
+    let total_ops = (snap.ops() + snap.coordinator.cross_ops).max(1) as f64;
+    let (flushes_per_op, fences_per_op) = (flushes as f64 / total_ops, fences as f64 / total_ops);
+    tally.lat_us.sort_by(f64::total_cmp);
+    let lat = [("p50", 0.50), ("p95", 0.95), ("p99", 0.99), ("p999", 0.999)]
+        .map(|(name, q)| (name, quantile(&tally.lat_us, q)));
+    let tput = tally.ok_ops as f64 / tally.secs;
     println!(
-        "  persist: flushes={flushes} ({:.2}/commit) redundant={redundant} fences={fences} ({:.2}/commit)",
-        per_commit(flushes),
-        per_commit(fences),
+        "\n== mix={} shards={shards} batch_max={batch} {load_key}={} ==",
+        mix.label(),
+        fmt_tput(load_val),
     );
-    // Lock-discipline observability: fast-path stripe contention always;
-    // held-lock depth and service-lock contention when locksan is on.
-    if snap.lock_held_hwm > 0 || snap.lock_contended > 0 || snap.stripe_contended() > 0 {
-        println!(
-            "  locks: held_hwm={} contended={} stripe_contended={}",
-            snap.lock_held_hwm,
-            snap.lock_contended,
-            snap.stripe_contended(),
-        );
+    for s in &snap.shards {
+        println!("  {s}");
+    }
+    println!(
+        "  offered={} ok={} overloaded={} ring_full={} timeout={} aborted={} stopped={} rerouted={}",
+        tally.offered,
+        tally.ok,
+        tally.overloaded,
+        tally.ring_full,
+        tally.timeout,
+        tally.aborted,
+        tally.stopped,
+        tally.rerouted,
+    );
+    println!(
+        "  tput={}/s ({} req/s) max_in_flight={} latency{}",
+        fmt_tput(tput),
+        fmt_tput(tally.ok as f64 / tally.secs),
+        snap.ring.in_flight_hwm,
+        lat.map(|(name, v)| format!(" {name}={:.0}us", v.unwrap_or(f64::NAN)))
+            .concat(),
+    );
+    println!("  persist: flushes/op={flushes_per_op:.2} fences/op={fences_per_op:.2} redundant={redundant}");
+    // Fast-path stripe contention; the held-lock depth and service-lock
+    // contention counters stay out of the report — without
+    // `--features locksan` they are always zero.
+    if snap.stripe_contended() > 0 {
+        println!("  locks: stripe_contended={}", snap.stripe_contended());
     }
     if snap.coordinator.cross_batches > 0 {
         println!("  {}", snap.coordinator);
     }
     if let Some(repl) = &snap.replication {
         println!("  {repl}");
+    }
+    if let Some(net) = &net {
+        println!("  {net}");
+    }
+
+    summary.max_in_flight = summary.max_in_flight.max(snap.ring.in_flight_hwm);
+    summary.peak_tput = summary.peak_tput.max(tput);
+    summary.max_flushes = summary.max_flushes.max(flushes_per_op);
+    summary.max_fences = summary.max_fences.max(fences_per_op);
+    let mut cell = Json::obj()
+        .field("mix", mix.label())
+        .field("shards", shards)
+        .field("batch_max", batch)
+        .field(load_key, load_val)
+        .field("duration_secs", tally.secs)
+        .field("offered", tally.offered)
+        .field("ok", tally.ok)
+        .field("overloaded", tally.overloaded)
+        .field("ring_full", tally.ring_full)
+        .field("timeout", tally.timeout)
+        .field("aborted", tally.aborted)
+        .field("stopped", tally.stopped)
+        .field("rerouted", tally.rerouted)
+        .field("tput_ops_per_sec", tput)
+        .field("tput_reqs_per_sec", tally.ok as f64 / tally.secs)
+        .field("max_in_flight", snap.ring.in_flight_hwm)
+        .field(
+            "latency_us",
+            lat.into_iter().fold(Json::obj(), |j, (name, v)| {
+                j.field(name, v.map_or(Json::Null, Json::Num))
+            }),
+        )
+        .field(
+            "persist",
+            Json::obj()
+                .field("flushes_per_op", flushes_per_op)
+                .field("redundant_flushes", redundant)
+                .field("fences_per_op", fences_per_op),
+        )
+        .field(
+            "locks",
+            Json::obj().field("stripe_contended", snap.stripe_contended()),
+        );
+    if let Some(net) = &net {
+        cell = cell.field(
+            "net",
+            Json::obj()
+                .field("frames_in", net.frames_in)
+                .field("frames_out", net.frames_out)
+                .field("bytes_in", net.bytes_in)
+                .field("bytes_out", net.bytes_out)
+                .field("busy_frames", net.busy),
+        );
+    }
+    if let Some(report) = migration {
+        // Per-phase rates from the driver's own ok-op counts.
+        let rate = |i: usize| tally.phases.get(i).map_or(0.0, |&(ops, s)| ops as f64 / s);
+        let (pre, during, post) = (rate(0), rate(1), rate(2));
+        println!(
+            "  migrate {shards}->{}: pre={}/s during={}/s post={}/s (dip {:.0}%)",
+            shards + 1,
+            fmt_tput(pre),
+            fmt_tput(during),
+            fmt_tput(post),
+            (1.0 - during / pre).max(0.0) * 100.0,
+        );
+        println!(
+            "  migration: total={:.3?} flip_pause={:.3?} base_keys={} catchup_entries={} epoch={}",
+            report.duration,
+            report.flip_pause,
+            report.base_keys,
+            report.catchup_entries,
+            report.epoch,
+        );
+        println!(
+            "  rerouted: client-visible={} worker-shed={}",
+            tally.rerouted,
+            snap.shards.iter().map(|s| s.rerouted).sum::<u64>(),
+        );
+        cell = cell
+            .field("shards_after", shards + 1)
+            .field("tput_pre_ops_per_sec", pre)
+            .field("tput_during_ops_per_sec", during)
+            .field("tput_post_ops_per_sec", post)
+            .field("migrate_secs", report.duration.as_secs_f64())
+            .field("flip_pause_us", report.flip_pause.as_secs_f64() * 1e6)
+            .field("base_keys", report.base_keys)
+            .field("catchup_entries", report.catchup_entries)
+            .field("routing_epoch", report.epoch);
     }
     if sweep.repl {
         // End the cell with the failure shape replication exists for:
@@ -427,56 +507,244 @@ fn run_cell(sweep: &Sweep, mix: Mix, shards: usize, batch: usize) -> Json {
         );
         drop(promoted);
     }
-
-    let total_ops = snap.ops() + snap.coordinator.cross_ops;
-    let per_op = |n: u64| {
-        if total_ops == 0 {
-            0.0
-        } else {
-            n as f64 / total_ops as f64
-        }
-    };
-    Json::obj()
-        .field("mix", mix.label())
-        .field("shards", shards)
-        .field("batch_max", batch)
-        .field("clients", sweep.clients)
-        .field("duration_secs", secs)
-        .field("tput_ops_per_sec", total_ops as f64 / secs)
-        .field("ok", outcomes.ok.load(Ordering::Relaxed))
-        .field("overloaded", outcomes.overloaded.load(Ordering::Relaxed))
-        .field("timeout", outcomes.timeout.load(Ordering::Relaxed))
-        .field("aborted", outcomes.aborted.load(Ordering::Relaxed))
-        .field("ring_full", snap.ring.ring_full)
-        .field("max_in_flight", snap.ring.in_flight_hwm)
-        .field("latency_us", latency_json(&snap.ring.latency))
-        .field(
-            "persist",
-            Json::obj()
-                .field("flushes_per_op", per_op(flushes))
-                .field("redundant_flushes", redundant)
-                .field("fences_per_op", per_op(fences)),
-        )
-        .field(
-            "locks",
-            Json::obj()
-                .field("held_hwm", snap.lock_held_hwm)
-                .field("contended", snap.lock_contended)
-                .field("stripe_contended", snap.stripe_contended()),
-        )
+    Ok(cell)
 }
 
-/// Submit-to-complete percentiles in microseconds.
-fn latency_json(h: &kvserve::HistogramSnapshot) -> Json {
-    let us = |q: f64| {
-        h.quantile(q)
-            .map_or(Json::Null, |d| Json::Num(d.as_secs_f64() * 1e6))
-    };
-    Json::obj()
-        .field("p50", us(0.50))
-        .field("p95", us(0.95))
-        .field("p99", us(0.99))
-        .field("p999", us(0.999))
+/// The cell's clock, run beside the driver: a plain cell ends after
+/// `--seconds`; a `--migrate` cell splits shard 0 live between a pre-
+/// and a post-migration window of `--seconds` each. The driver files
+/// its ok ops under the phase current at reap time.
+fn cell_clock(
+    sweep: &Sweep,
+    svc: Service,
+    phase: &AtomicUsize,
+) -> (Service, Option<MigrateReport>) {
+    let window = Duration::from_secs_f64(sweep.seconds);
+    std::thread::sleep(window);
+    if !sweep.migrate {
+        phase.store(END, Ordering::Release);
+        return (svc, None);
+    }
+    phase.store(1, Ordering::Release);
+    let spec = MigrateSpec::split(&svc.routing(), 0);
+    let (svc, report) = svc.migrate(spec);
+    phase.store(2, Ordering::Release);
+    std::thread::sleep(window);
+    phase.store(END, Ordering::Release);
+    (svc, Some(report))
+}
+
+/// The front end the driver keeps requests in flight on.
+enum Transport {
+    Ring(Ring),
+    Net(NetClient),
+}
+
+/// What an in-flight request is reaped by: its ring slot or its wire
+/// correlation id. Either is unique while the request is in flight (a
+/// ring slot is reissued only once its completion has been reaped).
+type Key = u64;
+
+fn wire_error(e: NetError) -> String {
+    format!("transport error on the wire client: {e}")
+}
+
+impl Transport {
+    /// `Ok(Err(_))` is a definite refusal at submission (nothing queued).
+    fn submit(&mut self, ops: Vec<MapOp>) -> Result<Result<Key, ServeError>, String> {
+        match self {
+            Transport::Ring(r) => Ok(r.submit_batch(ops).map(|t| t.slot() as Key)),
+            Transport::Net(c) => c.send_batch(&ops).map(Ok).map_err(wire_error),
+        }
+    }
+
+    /// The next completion, if one is ready. With `wait` (a full window)
+    /// the ring, which has no wait-for-any, yields the CPU once when
+    /// nothing is ready; the wire client, only ever driven at a rate,
+    /// never waits.
+    fn reap(&mut self, wait: bool) -> Result<Option<(Key, Reply)>, String> {
+        match self {
+            Transport::Ring(r) => {
+                let c = r.complete();
+                if c.is_none() && wait {
+                    std::thread::yield_now();
+                }
+                Ok(c.map(|c| (c.ticket.slot() as Key, c.result)))
+            }
+            Transport::Net(c) => (c.try_recv())
+                .map(|r| r.map(|r| (r.corr, r.reply)))
+                .map_err(wire_error),
+        }
+    }
+}
+
+/// Every request's verdict, counted once: `offered` when it is
+/// generated, then exactly one other count when it resolves.
+/// Backpressure, deadline and conflict rejections are expected service
+/// responses under load, not failures, so they are counted and
+/// reported instead of aborting the run.
+#[derive(Default)]
+struct Tally {
+    offered: u64,
+    ok: u64,
+    ok_ops: u64,
+    /// `Overloaded` from the ring; `Busy` frames on the wire.
+    overloaded: u64,
+    ring_full: u64,
+    timeout: u64,
+    aborted: u64,
+    stopped: u64,
+    /// Verdicts of a live migration's flip window (never acked).
+    rerouted: u64,
+    /// Submit-to-reap latency of every OK request, in µs.
+    lat_us: Vec<f64>,
+    /// `(ok ops, seconds)` per phase of the cell's clock.
+    phases: Vec<(u64, f64)>,
+    /// From the first submission to the last reap.
+    secs: f64,
+}
+
+impl Tally {
+    fn resolve(
+        &mut self,
+        inflight: &mut HashMap<Key, (usize, Instant)>,
+        (h, reply): (Key, Reply),
+    ) -> Result<(), String> {
+        let (nops, sent) = inflight
+            .remove(&h)
+            .ok_or("a completion for no request in flight")?;
+        self.record(nops, sent, reply)
+    }
+
+    fn record(&mut self, nops: usize, sent: Instant, reply: Reply) -> Result<(), String> {
+        match reply {
+            Ok(_) => {
+                self.ok += 1;
+                self.ok_ops += nops as u64;
+                self.lat_us.push(sent.elapsed().as_secs_f64() * 1e6);
+            }
+            Err(ServeError::Overloaded { .. }) => self.overloaded += 1,
+            Err(ServeError::RingFull) => self.ring_full += 1,
+            Err(ServeError::Timeout) => self.timeout += 1,
+            Err(ServeError::Aborted) => self.aborted += 1,
+            Err(ServeError::Stopped) => self.stopped += 1,
+            Err(ServeError::Rerouted) => self.rerouted += 1,
+            Err(e) => return Err(format!("unexpected verdict: {e}")),
+        }
+        Ok(())
+    }
+}
+
+/// The load driver: one thread keeps requests in flight on `t` under
+/// `load` until the cell's clock reads [`END`], then drains every
+/// outstanding request to a verdict.
+fn drive(
+    t: &mut Transport,
+    load: Load,
+    gen: &mut Gen,
+    phase: &AtomicUsize,
+) -> Result<Tally, String> {
+    let mut tally = Tally::default();
+    // Requests still awaiting their verdict: op count and submit instant.
+    let mut inflight: HashMap<Key, (usize, Instant)> = HashMap::new();
+    let start = Instant::now();
+    let (mut cur, mut mark, mut phase_start) = (0, 0u64, start);
+    // Open loop: the virtual time of the next arrival, in seconds.
+    let mut next = 0.0f64;
+    loop {
+        let p = phase.load(Ordering::Acquire);
+        if p != cur {
+            let secs = phase_start.elapsed().as_secs_f64();
+            tally.phases.push((tally.ok_ops - mark, secs));
+            (cur, mark, phase_start) = (p, tally.ok_ops, Instant::now());
+            if p == END {
+                break;
+            }
+        }
+        // Submit while the window has room, or — the open loop proper —
+        // every arrival the virtual schedule has made due, whether or not
+        // the service keeps up: when it falls behind, depth (and then
+        // RingFull / Busy drops) absorb the excess, which is exactly the
+        // signal a closed loop hides. Gaps are exponential (a Poisson
+        // process); back-to-back arrivals go out as one burst, so the
+        // reaps between them amortize. One clock read per submission:
+        // the submit instant doubles as the next due check's "now".
+        let (mut now, mut submitted) = (Instant::now(), 0);
+        while submitted < BURST
+            && match load {
+                Load::Window(w) => inflight.len() < w,
+                Load::Rate(_) => (now - start).as_secs_f64() >= next,
+            }
+        {
+            let ops = gen.ops();
+            let nops = ops.len();
+            tally.offered += 1;
+            submitted += 1;
+            now = Instant::now();
+            match t.submit(ops)? {
+                Ok(h) => {
+                    inflight.insert(h, (nops, now));
+                }
+                Err(e) => tally.record(nops, now, Err(e))?,
+            }
+            if let Load::Rate(rate) = load {
+                next += -gen.rng.unit().ln() / rate;
+            }
+        }
+        match load {
+            // A full window waits for one completion.
+            Load::Window(_) if submitted == 0 => {
+                if let Some(c) = t.reap(true)? {
+                    tally.resolve(&mut inflight, c)?;
+                }
+            }
+            Load::Window(_) => {}
+            // Reap what is ready between arrivals; never park. Idle with
+            // requests in flight, the driver yields: a timer sleep
+            // overshoots by tens of µs, and a completion landing meanwhile
+            // would carry that in its latency. Idle with nothing in
+            // flight, it sleeps toward the next arrival instead of
+            // holding a CPU the service could use.
+            Load::Rate(_) => {
+                let mut reaped = 0;
+                while reaped < BURST {
+                    let Some(c) = t.reap(false)? else { break };
+                    tally.resolve(&mut inflight, c)?;
+                    reaped += 1;
+                }
+                if submitted + reaped == 0 {
+                    let gap = next - start.elapsed().as_secs_f64();
+                    if inflight.is_empty() && gap > 20e-6 {
+                        std::thread::sleep(Duration::from_secs_f64(gap.min(200e-6)));
+                    } else {
+                        std::thread::yield_now();
+                    }
+                }
+            }
+        }
+    }
+    // Drain: every accepted request resolves (deadlines bound the wait).
+    let grace = Instant::now() + Duration::from_secs(5);
+    while !inflight.is_empty() {
+        if Instant::now() >= grace {
+            return Err(format!(
+                "{} requests unresolved after drain",
+                inflight.len()
+            ));
+        }
+        match t.reap(false)? {
+            Some(c) => tally.resolve(&mut inflight, c)?,
+            None => std::thread::sleep(Duration::from_micros(100)),
+        }
+    }
+    tally.secs = start.elapsed().as_secs_f64();
+    Ok(tally)
+}
+
+/// Percentile of an already-sorted sample set.
+fn quantile(sorted: &[f64], q: f64) -> Option<f64> {
+    let last = sorted.len().checked_sub(1)?;
+    Some(sorted[(last as f64 * q).round() as usize])
 }
 
 /// xorshift64 PRNG for the generators.
@@ -547,655 +815,63 @@ impl KeyGen {
     }
 }
 
-/// One request's ops for `mix` — same shapes as the closed-loop client
-/// but built from the free routing function, so the sequential baseline
-/// can generate identical streams without a service.
-fn gen_ops(mix: Mix, keys: u64, shards: usize, rng: &mut Rng, kg: &KeyGen) -> Vec<MapOp> {
-    let k = kg.draw(rng);
-    let r = rng.next();
-    match mix {
-        Mix::ReadHeavy if r % 100 < 95 => vec![MapOp::Get(k)],
-        Mix::ReadHeavy => vec![MapOp::Insert(k, r)],
-        Mix::UpdateHeavy if r.is_multiple_of(2) => vec![MapOp::Get(k)],
-        Mix::UpdateHeavy => vec![MapOp::Insert(k, r)],
-        Mix::Scan => {
-            let shard = kvserve::shard_of_key(k, shards);
-            (k..k + SCAN_SPAN)
-                .filter(|&x| x < keys && kvserve::shard_of_key(x, shards) == shard)
-                .take(SCAN_WINDOW)
-                .map(MapOp::Get)
-                .collect()
-        }
-        Mix::CrossShard => {
-            let span = shards.min(XSHARD_SPAN);
-            let mut seen = vec![false; shards];
-            (k..k + SCAN_SPAN)
-                .filter(|&x| {
-                    !std::mem::replace(&mut seen[kvserve::shard_of_key(x % keys, shards)], true)
-                })
-                .take(span)
-                .map(|x| MapOp::Insert(x % keys, r))
-                .collect()
-        }
-    }
-}
-
-fn run_migrate(sweep: &Sweep) -> Vec<Json> {
-    println!(
-        "kvserve live-migration benchmark: {} keys, {} clients, {:.2}s windows, pm={}",
-        sweep.keys,
-        sweep.clients,
-        sweep.seconds,
-        if sweep.fast { "zero-latency" } else { "optane" },
-    );
-    let mut cells = Vec::new();
-    for &mix in &sweep.mixes {
-        for &shards in &sweep.shard_counts {
-            for &batch in &sweep.batch_caps {
-                cells.push(run_migrate_cell(sweep, mix, shards, batch));
-            }
-        }
-    }
-    cells
-}
-
-/// One live-migration cell: closed-loop clients over ring handles (the
-/// handles survive the flip — the shared router re-targets them), a
-/// pre-migration window, the split of shard 0, and a post-migration
-/// window on the grown deployment.
-fn run_migrate_cell(sweep: &Sweep, mix: Mix, shards: usize, batch: usize) -> Json {
-    let svc = Service::new(service_config(sweep, shards, batch));
-    for k in 0..sweep.keys {
-        if k.wrapping_mul(0x9e37_79b9_7f4a_7c15) >> 63 == 0 {
-            svc.put(k, k + 1).expect("prefill write");
-        }
-    }
-    svc.reset_metrics();
-
-    let ring = svc.ring();
-    let stop = AtomicBool::new(false);
-    let oks = AtomicU64::new(0);
-    let rerouted = AtomicU64::new(0);
-    let window = Duration::from_secs_f64(sweep.seconds.max(0.05));
-
-    let (svc, report, pre_rate, mig_rate, post_rate) = std::thread::scope(|scope| {
-        for c in 0..sweep.clients {
-            let ring = ring.clone();
-            let (stop, oks, rerouted) = (&stop, &oks, &rerouted);
-            scope.spawn(move || {
-                migrate_client_loop(
-                    &ring, stop, oks, rerouted, mix, sweep.keys, shards, c as u64,
-                )
-            });
-        }
-        // Pre-migration window on the original topology.
-        let t0 = Instant::now();
-        std::thread::sleep(window);
-        let pre_ok = oks.load(Ordering::Relaxed);
-        let pre_rate = pre_ok as f64 / t0.elapsed().as_secs_f64();
-
-        // The split, live under the clients' load.
-        let t1 = Instant::now();
-        let spec = MigrateSpec::split(&svc.routing(), 0);
-        let (svc, report) = svc.migrate(spec);
-        let mig_secs = t1.elapsed().as_secs_f64();
-        let mig_rate = (oks.load(Ordering::Relaxed) - pre_ok) as f64 / mig_secs;
-
-        // Post-migration window on the grown topology.
-        let t2 = Instant::now();
-        let base = oks.load(Ordering::Relaxed);
-        std::thread::sleep(window);
-        let post_rate = (oks.load(Ordering::Relaxed) - base) as f64 / t2.elapsed().as_secs_f64();
-        stop.store(true, Ordering::Relaxed);
-        (svc, report, pre_rate, mig_rate, post_rate)
-    });
-
-    let snap = svc.snapshot();
-    println!(
-        "\n== migrate mix={} shards={}->{} batch_max={} ==",
-        mix.label(),
-        shards,
-        shards + 1,
-        batch
-    );
-    println!(
-        "  tput: pre={}/s during={}/s post={}/s (dip {:.0}%)",
-        fmt_tput(pre_rate),
-        fmt_tput(mig_rate),
-        fmt_tput(post_rate),
-        if pre_rate > 0.0 {
-            (1.0 - mig_rate / pre_rate).max(0.0) * 100.0
-        } else {
-            0.0
-        },
-    );
-    println!(
-        "  migration: total={:.3?} flip_pause={:.3?} base_keys={} catchup_entries={} epoch={}",
-        report.duration, report.flip_pause, report.base_keys, report.catchup_entries, report.epoch,
-    );
-    println!(
-        "  rerouted: client-visible={} worker-shed={}",
-        rerouted.load(Ordering::Relaxed),
-        snap.shards.iter().map(|s| s.rerouted).sum::<u64>(),
-    );
-
-    Json::obj()
-        .field("mix", mix.label())
-        .field("shards", shards)
-        .field("shards_after", shards + 1)
-        .field("batch_max", batch)
-        .field("clients", sweep.clients)
-        .field("tput_pre_ops_per_sec", pre_rate)
-        .field("tput_during_ops_per_sec", mig_rate)
-        .field("tput_post_ops_per_sec", post_rate)
-        .field("migrate_secs", report.duration.as_secs_f64())
-        .field("flip_pause_us", report.flip_pause.as_secs_f64() * 1e6)
-        .field("base_keys", report.base_keys)
-        .field("catchup_entries", report.catchup_entries)
-        .field("routing_epoch", report.epoch)
-        .field("rerouted", rerouted.load(Ordering::Relaxed))
-}
-
-/// Closed-loop client over a ring handle: the handle (not the consumed
-/// `Service`) is what survives the migration. Reroute and flip-window
-/// verdicts retry; they are the migration's client-visible cost and are
-/// counted, not hidden.
-#[allow(clippy::too_many_arguments)]
-fn migrate_client_loop(
-    ring: &Ring,
-    stop: &AtomicBool,
-    oks: &AtomicU64,
-    rerouted: &AtomicU64,
+/// The request stream for one mix. Multi-key shapes route with the
+/// fresh table for the cell's shard count — exactly the service's
+/// table before any migration — so the sequential baseline can
+/// generate identical streams without a service.
+struct Gen {
     mix: Mix,
     keys: u64,
-    shards: usize,
-    client: u64,
-) {
-    let kg = KeyGen::new(keys, 0.0);
-    let mut rng = Rng(0xbe7c_5eed ^ (client + 1).wrapping_mul(0x2545_f491_4f6c_dd1d) | 1);
-    while !stop.load(Ordering::Relaxed) {
-        let ops = gen_ops(mix, keys, shards, &mut rng, &kg);
-        if ops.is_empty() {
-            continue;
-        }
-        let verdict = ring.submit_batch(ops).and_then(|t| ring.wait(t));
-        match verdict {
-            Ok(_) => {
-                oks.fetch_add(1, Ordering::Relaxed);
-            }
-            Err(ServeError::Overloaded { retry_after }) => std::thread::sleep(retry_after),
-            Err(ServeError::Rerouted) => {
-                rerouted.fetch_add(1, Ordering::Relaxed);
-            }
-            // Flip-window sheds: never acked, safe to drop and move on.
-            Err(ServeError::Timeout) | Err(ServeError::Stopped) | Err(ServeError::Aborted) => {}
-            Err(e) => panic!("client under migration: {e}"),
-        }
-    }
+    table: RoutingTable,
+    rng: Rng,
+    kg: KeyGen,
 }
 
-fn run_open_loop(sweep: &Sweep) -> Vec<Json> {
-    println!(
-        "kvserve open-loop benchmark: {} keys, zipf theta={}, arrival={}, {:.2}s per cell, pm={}",
-        sweep.keys,
-        sweep.zipf_theta,
-        sweep.arrival.label(),
-        sweep.seconds,
-        if sweep.fast { "zero-latency" } else { "optane" },
-    );
-    let mut cells = Vec::new();
-    for &mix in &sweep.mixes {
-        for &shards in &sweep.shard_counts {
-            for &batch in &sweep.batch_caps {
-                for &rate in &sweep.rates {
-                    cells.push(run_open_cell(sweep, mix, shards, batch, rate));
-                }
+impl Gen {
+    fn new(sweep: &Sweep, mix: Mix, shards: usize, seed: u64) -> Gen {
+        Gen {
+            mix,
+            keys: sweep.keys,
+            table: RoutingTable::fresh(shards),
+            rng: Rng(seed | 1),
+            kg: KeyGen::new(sweep.keys, sweep.zipf_theta),
+        }
+    }
+
+    fn ops(&mut self) -> Vec<MapOp> {
+        let (keys, table) = (self.keys, &self.table);
+        let k = self.kg.draw(&mut self.rng);
+        let r = self.rng.next();
+        match self.mix {
+            Mix::ReadHeavy if r % 100 < 95 => vec![MapOp::Get(k)],
+            Mix::ReadHeavy => vec![MapOp::Insert(k, r)],
+            Mix::UpdateHeavy if r.is_multiple_of(2) => vec![MapOp::Get(k)],
+            Mix::UpdateHeavy => vec![MapOp::Insert(k, r)],
+            Mix::Scan => {
+                // An atomic multi-get over the keys of a contiguous
+                // window that live on the first key's shard.
+                let shard = table.route(k);
+                (k..k + SCAN_SPAN)
+                    .filter(|&x| x < keys && table.route(x) == shard)
+                    .take(SCAN_WINDOW)
+                    .map(MapOp::Get)
+                    .collect()
+            }
+            Mix::CrossShard => {
+                // An atomic multi-put spanning several shards — one key
+                // per distinct shard walking forward from k — committed
+                // through the 2PC coordinator (single-shard services
+                // degrade to the fast path).
+                let shards = table.shards();
+                let mut seen = vec![false; shards];
+                (k..k + SCAN_SPAN)
+                    .filter(|&x| !std::mem::replace(&mut seen[table.route(x % keys)], true))
+                    .take(shards.min(XSHARD_SPAN))
+                    .map(|x| MapOp::Insert(x % keys, r))
+                    .collect()
             }
         }
     }
-    cells
-}
-
-/// Completion tally for one open-loop cell.
-#[derive(Default)]
-struct OpenTally {
-    ok_reqs: u64,
-    ok_ops: u64,
-    timeout: u64,
-    aborted: u64,
-    stopped: u64,
-}
-
-impl OpenTally {
-    fn record(&mut self, result: &Result<Vec<Option<u64>>, ServeError>, nops: usize) {
-        match result {
-            Ok(_) => {
-                self.ok_reqs += 1;
-                self.ok_ops += nops as u64;
-            }
-            Err(ServeError::Timeout) => self.timeout += 1,
-            Err(ServeError::Aborted) => self.aborted += 1,
-            Err(ServeError::Stopped) => self.stopped += 1,
-            Err(e) => panic!("unexpected completion verdict: {e}"),
-        }
-    }
-}
-
-fn run_open_cell(sweep: &Sweep, mix: Mix, shards: usize, batch: usize, rate: f64) -> Json {
-    let svc = Service::new(service_config(sweep, shards, batch));
-    for k in 0..sweep.keys {
-        if k.wrapping_mul(0x9e37_79b9_7f4a_7c15) >> 63 == 0 {
-            svc.put(k, k + 1).expect("prefill write");
-        }
-    }
-    svc.reset_metrics();
-    let before = svc.snapshot();
-    let tm_before: Vec<_> = before.shards.iter().map(|s| s.tm).collect();
-    let coord_before = before.coordinator.tm;
-
-    let ring = svc.ring();
-    let kg = KeyGen::new(sweep.keys, sweep.zipf_theta);
-    let mut rng = Rng(0x0be7_ca11 ^ (rate as u64) | 1);
-    let period = 1.0 / rate;
-    // Submitted tickets still awaiting their completion, with the op
-    // count each carries.
-    let mut inflight: HashMap<Ticket, usize> = HashMap::new();
-    let mut tally = OpenTally::default();
-    let (mut offered, mut ring_full, mut overloaded) = (0u64, 0u64, 0u64);
-
-    // The open loop proper: ONE submitting thread. Arrivals follow the
-    // virtual schedule regardless of how the service keeps up — when it
-    // falls behind, depth (and then RingFull drops) absorb the excess,
-    // which is exactly the signal a closed loop hides.
-    let start = Instant::now();
-    let mut next = 0.0f64;
-    loop {
-        let elapsed = start.elapsed().as_secs_f64();
-        if elapsed >= sweep.seconds {
-            break;
-        }
-        if elapsed >= next {
-            offered += 1;
-            let ops = gen_ops(mix, sweep.keys, shards, &mut rng, &kg);
-            let nops = ops.len();
-            match ring.submit_batch(ops) {
-                Ok(t) => {
-                    inflight.insert(t, nops);
-                }
-                Err(ServeError::RingFull) => ring_full += 1,
-                Err(ServeError::Overloaded { .. }) => overloaded += 1,
-                Err(e) => panic!("submit failed: {e}"),
-            }
-            next += match sweep.arrival {
-                Arrival::Fixed => period,
-                // Exponential gap: a Poisson arrival process.
-                Arrival::Poisson => -rng.unit().ln() * period,
-            };
-            // Reap opportunistically between arrivals; never park.
-            if let Some(c) = ring.complete() {
-                let nops = inflight.remove(&c.ticket).expect("unknown ticket");
-                tally.record(&c.result, nops);
-            }
-        } else {
-            let mut idle = true;
-            for c in ring.drain() {
-                let nops = inflight.remove(&c.ticket).expect("unknown ticket");
-                tally.record(&c.result, nops);
-                idle = false;
-            }
-            if idle {
-                let gap = (next - start.elapsed().as_secs_f64()).min(200e-6);
-                if gap > 20e-6 {
-                    std::thread::sleep(Duration::from_secs_f64(gap));
-                }
-            }
-        }
-    }
-    // Drain: every accepted ticket resolves (deadlines bound the wait).
-    let grace = Instant::now() + Duration::from_secs(5);
-    while !inflight.is_empty() && Instant::now() < grace {
-        for c in ring.drain() {
-            let nops = inflight.remove(&c.ticket).expect("unknown ticket");
-            tally.record(&c.result, nops);
-        }
-        std::thread::sleep(Duration::from_micros(100));
-    }
-    let secs = start.elapsed().as_secs_f64();
-    assert!(
-        inflight.is_empty(),
-        "tickets unresolved after drain: {}",
-        inflight.len()
-    );
-
-    let mut snap = svc.snapshot();
-    for (s, before) in snap.shards.iter_mut().zip(&tm_before) {
-        s.tm = s.tm.since(before);
-    }
-    snap.coordinator.tm = snap.coordinator.tm.since(&coord_before);
-    let (mut flushes, mut redundant, mut fences) = (0u64, 0u64, 0u64);
-    for tm in snap
-        .shards
-        .iter()
-        .map(|s| &s.tm)
-        .chain(std::iter::once(&snap.coordinator.tm))
-    {
-        flushes += tm.get(Counter::Flush);
-        redundant += tm.get(Counter::RedundantFlush);
-        fences += tm.get(Counter::Fence);
-    }
-    let total_ops = snap.ops() + snap.coordinator.cross_ops;
-    let per_op = |n: u64| {
-        if total_ops == 0 {
-            0.0
-        } else {
-            n as f64 / total_ops as f64
-        }
-    };
-    let us = |q: f64| {
-        snap.ring
-            .latency
-            .quantile(q)
-            .map_or(f64::NAN, |d| d.as_secs_f64() * 1e6)
-    };
-    println!(
-        "\n== open-loop mix={} shards={} batch_max={} rate={}/s ==",
-        mix.label(),
-        shards,
-        batch,
-        fmt_tput(rate),
-    );
-    println!(
-        "  offered={offered} ok={} timeout={} aborted={} stopped={} dropped(ring_full={ring_full} overloaded={overloaded})",
-        tally.ok_reqs, tally.timeout, tally.aborted, tally.stopped,
-    );
-    println!(
-        "  tput={}/s max_in_flight={} s2c p50={:.0}us p95={:.0}us p99={:.0}us p999={:.0}us",
-        fmt_tput(tally.ok_ops as f64 / secs),
-        snap.ring.in_flight_hwm,
-        us(0.50),
-        us(0.95),
-        us(0.99),
-        us(0.999),
-    );
-    println!(
-        "  persist: flushes/op={:.2} fences/op={:.2} redundant={redundant}",
-        per_op(flushes),
-        per_op(fences),
-    );
-
-    Json::obj()
-        .field("mix", mix.label())
-        .field("shards", shards)
-        .field("batch_max", batch)
-        .field("offered_rate", rate)
-        .field("duration_secs", secs)
-        .field("offered", offered)
-        .field("ok", tally.ok_reqs)
-        .field("timeout", tally.timeout)
-        .field("aborted", tally.aborted)
-        .field("stopped", tally.stopped)
-        .field("ring_full", ring_full)
-        .field("overloaded", overloaded)
-        .field("tput_ops_per_sec", tally.ok_ops as f64 / secs)
-        .field("max_in_flight", snap.ring.in_flight_hwm)
-        .field("latency_us", latency_json(&snap.ring.latency))
-        .field(
-            "persist",
-            Json::obj()
-                .field("flushes_per_op", per_op(flushes))
-                .field("redundant_flushes", redundant)
-                .field("fences_per_op", per_op(fences)),
-        )
-        .field(
-            "locks",
-            Json::obj()
-                .field("held_hwm", snap.lock_held_hwm)
-                .field("contended", snap.lock_contended)
-                .field("stripe_contended", snap.stripe_contended()),
-        )
-}
-
-fn run_net_loop(sweep: &Sweep) -> Vec<Json> {
-    println!(
-        "kvserve wire-protocol open-loop benchmark: {} keys, zipf theta={}, arrival={}, {:.2}s per cell, pm={}",
-        sweep.keys,
-        sweep.zipf_theta,
-        sweep.arrival.label(),
-        sweep.seconds,
-        if sweep.fast { "zero-latency" } else { "optane" },
-    );
-    let mut cells = Vec::new();
-    for &mix in &sweep.mixes {
-        for &shards in &sweep.shard_counts {
-            for &batch in &sweep.batch_caps {
-                for &rate in &sweep.rates {
-                    cells.push(run_net_cell(sweep, mix, shards, batch, rate));
-                }
-            }
-        }
-    }
-    cells
-}
-
-/// Resolve one response frame against the in-flight table: OK acks add
-/// their client-side send-to-response latency sample; every error frame
-/// is a definite verdict tallied by class (`Busy` is the wire rendering
-/// of both backpressure rejections).
-fn reap_frame(
-    resp: kvserve::net::ResponseFrame,
-    inflight: &mut HashMap<u64, (usize, Instant)>,
-    tally: &mut OpenTally,
-    busy: &mut u64,
-    lat_us: &mut Vec<f64>,
-) {
-    let (nops, sent) = inflight.remove(&resp.corr).expect("unknown correlation id");
-    match &resp.reply {
-        Ok(_) => {
-            tally.ok_reqs += 1;
-            tally.ok_ops += nops as u64;
-            lat_us.push(sent.elapsed().as_secs_f64() * 1e6);
-        }
-        Err(ServeError::Overloaded { .. }) => *busy += 1,
-        Err(ServeError::Timeout) => tally.timeout += 1,
-        Err(ServeError::Aborted) => tally.aborted += 1,
-        Err(ServeError::Stopped) => tally.stopped += 1,
-        Err(e) => panic!("unexpected wire verdict: {e}"),
-    }
-}
-
-/// Percentile of an already-sorted client-side latency sample set.
-fn sample_quantile(sorted: &[f64], q: f64) -> Json {
-    if sorted.is_empty() {
-        return Json::Null;
-    }
-    Json::Num(sorted[((sorted.len() - 1) as f64 * q).round() as usize])
-}
-
-/// One open-loop cell through the wire: same virtual arrival schedule
-/// as [`run_open_cell`], but every request crosses loopback TCP as a
-/// framed batch and every verdict comes back as a response frame. The
-/// server multiplexes onto its 4096-slot ring; when the offered rate
-/// outruns the service, depth absorbs the excess until the ring (or the
-/// connection cap) is full and the overflow comes back as `Busy`.
-fn run_net_cell(sweep: &Sweep, mix: Mix, shards: usize, batch: usize, rate: f64) -> Json {
-    let svc = Service::new(service_config(sweep, shards, batch));
-    for k in 0..sweep.keys {
-        if k.wrapping_mul(0x9e37_79b9_7f4a_7c15) >> 63 == 0 {
-            svc.put(k, k + 1).expect("prefill write");
-        }
-    }
-    svc.reset_metrics();
-    let before = svc.snapshot();
-    let tm_before: Vec<_> = before.shards.iter().map(|s| s.tm).collect();
-    let coord_before = before.coordinator.tm;
-
-    let server = svc.serve_net(NetConfig::default()).expect("bind loopback");
-    let mut client = NetClient::connect(server.local_addr()).expect("connect loopback");
-
-    let kg = KeyGen::new(sweep.keys, sweep.zipf_theta);
-    let mut rng = Rng(0x6e7_ca11 ^ (rate as u64) | 1);
-    let period = 1.0 / rate;
-    // corr → (op count, send instant) for requests still on the wire.
-    let mut inflight: HashMap<u64, (usize, Instant)> = HashMap::new();
-    let mut tally = OpenTally::default();
-    let (mut offered, mut busy) = (0u64, 0u64);
-    let mut lat_us: Vec<f64> = Vec::new();
-
-    let start = Instant::now();
-    let mut next = 0.0f64;
-    loop {
-        let elapsed = start.elapsed().as_secs_f64();
-        if elapsed >= sweep.seconds {
-            break;
-        }
-        if elapsed >= next {
-            offered += 1;
-            let ops = gen_ops(mix, sweep.keys, shards, &mut rng, &kg);
-            let nops = ops.len();
-            let corr = client.send_batch(&ops).expect("send over loopback");
-            inflight.insert(corr, (nops, Instant::now()));
-            next += match sweep.arrival {
-                Arrival::Fixed => period,
-                Arrival::Poisson => -rng.unit().ln() * period,
-            };
-            // Reap opportunistically between arrivals; never park.
-            if let Some(resp) = client.try_recv().expect("reap response") {
-                reap_frame(resp, &mut inflight, &mut tally, &mut busy, &mut lat_us);
-            }
-        } else {
-            let mut idle = true;
-            while let Some(resp) = client.try_recv().expect("reap response") {
-                reap_frame(resp, &mut inflight, &mut tally, &mut busy, &mut lat_us);
-                idle = false;
-            }
-            if idle {
-                let gap = (next - start.elapsed().as_secs_f64()).min(200e-6);
-                if gap > 20e-6 {
-                    std::thread::sleep(Duration::from_secs_f64(gap));
-                }
-            }
-        }
-    }
-    // Drain: every request on the wire resolves to a frame (deadlines
-    // bound the wait server-side).
-    let grace = Instant::now() + Duration::from_secs(5);
-    while !inflight.is_empty() && Instant::now() < grace {
-        match client.try_recv().expect("drain response") {
-            Some(resp) => reap_frame(resp, &mut inflight, &mut tally, &mut busy, &mut lat_us),
-            None => std::thread::sleep(Duration::from_micros(100)),
-        }
-    }
-    let secs = start.elapsed().as_secs_f64();
-    assert!(
-        inflight.is_empty(),
-        "requests unresolved after drain: {}",
-        inflight.len()
-    );
-    let net = server.metrics();
-    drop(client);
-    server.stop();
-
-    let mut snap = svc.snapshot();
-    for (s, before) in snap.shards.iter_mut().zip(&tm_before) {
-        s.tm = s.tm.since(before);
-    }
-    snap.coordinator.tm = snap.coordinator.tm.since(&coord_before);
-    let (mut flushes, mut redundant, mut fences) = (0u64, 0u64, 0u64);
-    for tm in snap
-        .shards
-        .iter()
-        .map(|s| &s.tm)
-        .chain(std::iter::once(&snap.coordinator.tm))
-    {
-        flushes += tm.get(Counter::Flush);
-        redundant += tm.get(Counter::RedundantFlush);
-        fences += tm.get(Counter::Fence);
-    }
-    let total_ops = snap.ops() + snap.coordinator.cross_ops;
-    let per_op = |n: u64| {
-        if total_ops == 0 {
-            0.0
-        } else {
-            n as f64 / total_ops as f64
-        }
-    };
-    lat_us.sort_by(|a, b| a.partial_cmp(b).unwrap());
-    let us = |q: f64| match sample_quantile(&lat_us, q) {
-        Json::Num(v) => v,
-        _ => f64::NAN,
-    };
-    println!(
-        "\n== net mix={} shards={} batch_max={} rate={}/s ==",
-        mix.label(),
-        shards,
-        batch,
-        fmt_tput(rate),
-    );
-    println!(
-        "  offered={offered} ok={} timeout={} aborted={} stopped={} busy={busy}",
-        tally.ok_reqs, tally.timeout, tally.aborted, tally.stopped,
-    );
-    println!(
-        "  tput={}/s max_in_flight={} wire p50={:.0}us p95={:.0}us p99={:.0}us p999={:.0}us",
-        fmt_tput(tally.ok_ops as f64 / secs),
-        snap.ring.in_flight_hwm,
-        us(0.50),
-        us(0.95),
-        us(0.99),
-        us(0.999),
-    );
-    println!("  {net}");
-    println!(
-        "  persist: flushes/op={:.2} fences/op={:.2} redundant={redundant}",
-        per_op(flushes),
-        per_op(fences),
-    );
-
-    Json::obj()
-        .field("mix", mix.label())
-        .field("shards", shards)
-        .field("batch_max", batch)
-        .field("offered_rate", rate)
-        .field("duration_secs", secs)
-        .field("offered", offered)
-        .field("ok", tally.ok_reqs)
-        .field("timeout", tally.timeout)
-        .field("aborted", tally.aborted)
-        .field("stopped", tally.stopped)
-        .field("busy", busy)
-        .field("tput_ops_per_sec", tally.ok_ops as f64 / secs)
-        .field("max_in_flight", snap.ring.in_flight_hwm)
-        .field(
-            "latency_us",
-            Json::obj()
-                .field("p50", sample_quantile(&lat_us, 0.50))
-                .field("p95", sample_quantile(&lat_us, 0.95))
-                .field("p99", sample_quantile(&lat_us, 0.99))
-                .field("p999", sample_quantile(&lat_us, 0.999)),
-        )
-        .field(
-            "net",
-            Json::obj()
-                .field("frames_in", net.frames_in)
-                .field("frames_out", net.frames_out)
-                .field("bytes_in", net.bytes_in)
-                .field("bytes_out", net.bytes_out)
-                .field("busy_frames", net.busy),
-        )
-        .field(
-            "persist",
-            Json::obj()
-                .field("flushes_per_op", per_op(flushes))
-                .field("redundant_flushes", redundant)
-                .field("fences_per_op", per_op(fences)),
-        )
-        .field(
-            "locks",
-            Json::obj()
-                .field("held_hwm", snap.lock_held_hwm)
-                .field("contended", snap.lock_contended)
-                .field("stripe_contended", snap.stripe_contended()),
-        )
 }
 
 /// Sequential in-memory executor: the same op stream against a plain
@@ -1204,20 +880,17 @@ fn run_net_cell(sweep: &Sweep, mix: Mix, shards: usize, batch: usize, rate: f64)
 /// toward, recorded alongside every artifact.
 fn sequential_baseline(sweep: &Sweep, mix: Mix) -> f64 {
     let shards = sweep.shard_counts.first().copied().unwrap_or(1);
-    let kg = KeyGen::new(sweep.keys, sweep.zipf_theta);
-    let mut rng = Rng(0xba5e_11e5);
-    let mut map: HashMap<u64, u64> = HashMap::new();
-    for k in 0..sweep.keys {
-        if k.wrapping_mul(0x9e37_79b9_7f4a_7c15) >> 63 == 0 {
-            map.insert(k, k + 1);
-        }
-    }
+    let mut gen = Gen::new(sweep, mix, shards, 0xba5e_11e5);
+    let mut map: HashMap<u64, u64> = (0..sweep.keys)
+        .filter(|&k| prefilled(k))
+        .map(|k| (k, k + 1))
+        .collect();
     let dur = sweep.seconds.min(0.2);
     let start = Instant::now();
     let mut ops = 0u64;
     while start.elapsed().as_secs_f64() < dur {
         for _ in 0..64 {
-            for op in gen_ops(mix, sweep.keys, shards, &mut rng, &kg) {
+            for op in gen.ops() {
                 let out = match op {
                     MapOp::Get(k) => map.get(&k).copied(),
                     MapOp::Insert(k, v) => map.insert(k, v),
@@ -1239,77 +912,4 @@ fn baseline_json(sweep: &Sweep) -> Json {
     Json::obj()
         .field("mode", "sequential-inmemory")
         .field("tput_ops_per_sec", tputs)
-}
-
-fn client_loop(
-    svc: &Service,
-    stop: &AtomicBool,
-    outcomes: &Outcomes,
-    mix: Mix,
-    keys: u64,
-    client: u64,
-) {
-    let mut rng = 0xbe7c_5eed ^ (client + 1).wrapping_mul(0x2545_f491_4f6c_dd1d);
-    while !stop.load(Ordering::Relaxed) {
-        rng ^= rng << 13;
-        rng ^= rng >> 7;
-        rng ^= rng << 17;
-        let k = (rng >> 16) % keys;
-        let req = match mix {
-            Mix::ReadHeavy if (rng & 0xffff) % 100 < 95 => Req::One(MapOp::Get(k)),
-            Mix::ReadHeavy => Req::One(MapOp::Insert(k, rng)),
-            Mix::UpdateHeavy if rng >> 63 == 0 => Req::One(MapOp::Get(k)),
-            Mix::UpdateHeavy => Req::One(MapOp::Insert(k, rng)),
-            Mix::Scan => {
-                // An atomic multi-get over the keys of a contiguous
-                // window that live on the first key's shard.
-                let shard = svc.shard_of(k);
-                let ops: Vec<MapOp> = (k..k + SCAN_SPAN)
-                    .filter(|&x| x < keys && svc.shard_of(x) == shard)
-                    .take(SCAN_WINDOW)
-                    .map(MapOp::Get)
-                    .collect();
-                Req::Many(ops)
-            }
-            Mix::CrossShard => {
-                // An atomic multi-put spanning several shards — one key
-                // per distinct shard walking forward from k — committed
-                // through the 2PC coordinator (single-shard services
-                // degrade to the fast path).
-                let span = svc.num_shards().min(XSHARD_SPAN);
-                let mut seen = vec![false; svc.num_shards()];
-                let ops: Vec<MapOp> = (k..k + SCAN_SPAN)
-                    .filter(|&x| !std::mem::replace(&mut seen[svc.shard_of(x % keys)], true))
-                    .take(span)
-                    .map(|x| MapOp::Insert(x % keys, rng))
-                    .collect();
-                Req::Many(ops)
-            }
-        };
-        let outcome = match req {
-            Req::One(op) => svc.apply(op).map(|_| ()),
-            Req::Many(ops) => svc.batch(ops).map(|_| ()),
-        };
-        match outcome {
-            Ok(()) => {
-                outcomes.ok.fetch_add(1, Ordering::Relaxed);
-            }
-            Err(ServeError::Overloaded { retry_after }) => {
-                outcomes.overloaded.fetch_add(1, Ordering::Relaxed);
-                std::thread::sleep(retry_after);
-            }
-            Err(ServeError::Timeout) => {
-                outcomes.timeout.fetch_add(1, Ordering::Relaxed);
-            }
-            Err(ServeError::Aborted) => {
-                outcomes.aborted.fetch_add(1, Ordering::Relaxed);
-            }
-            Err(e) => panic!("service failed under load: {e}"),
-        }
-    }
-}
-
-enum Req {
-    One(MapOp),
-    Many(Vec<MapOp>),
 }

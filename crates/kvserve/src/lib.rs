@@ -256,18 +256,6 @@ impl ServiceConfig {
     }
 }
 
-/// The raw routing hash: which of `shards` cells `key` falls into.
-/// This is both the legacy fixed-topology router and the slot hash of
-/// the versioned [`RoutingTable`] (with `shards = ROUTE_SLOTS`). A
-/// *fresh* table routes identically to `shard_of_key(key, n)` whenever
-/// `n` divides [`ROUTE_SLOTS`], which keeps pre-migration deployments
-/// bit-compatible with the old router. Exposed so tests and load
-/// generators can construct same-shard (atomic) multi-op requests.
-#[inline]
-pub fn shard_of_key(key: u64, shards: usize) -> usize {
-    ((key.wrapping_mul(0x9e37_79b9_7f4a_7c15) >> 32) % shards as u64) as usize
-}
-
 /// Fixed number of virtual routing slots. Keys hash to a slot; the
 /// [`RoutingTable`] assigns each slot to a shard. Migrations move whole
 /// slots, so the unit of elasticity is `1/64` of the key space.
@@ -305,10 +293,11 @@ impl RoutingTable {
         self.epoch
     }
 
-    /// The slot `key` hashes into (table-independent).
+    /// The slot `key` hashes into (table-independent): a Fibonacci
+    /// mix, whose high bits spread sequential keys across slots.
     #[inline]
     pub fn slot_of(key: u64) -> usize {
-        shard_of_key(key, ROUTE_SLOTS)
+        ((key.wrapping_mul(0x9e37_79b9_7f4a_7c15) >> 32) % ROUTE_SLOTS as u64) as usize
     }
 
     /// Which shard serves `key` under this table.
@@ -1436,12 +1425,6 @@ pub fn partition_by_table(ops: &[MapOp], table: &RoutingTable) -> Vec<(usize, Ve
     groups
 }
 
-/// [`partition_by_table`] under the fresh (epoch-0) table for `shards`
-/// shards — the pre-migration grouping.
-pub fn partition_by_shard(ops: &[MapOp], shards: usize) -> Vec<(usize, Vec<usize>)> {
-    partition_by_table(ops, &RoutingTable::fresh(shards))
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -1470,7 +1453,7 @@ mod tests {
         let mut hit = [false; 4];
         for k in 0..256u64 {
             let s = svc.shard_of(k);
-            assert_eq!(s, shard_of_key(k, 4));
+            assert_eq!(s, RoutingTable::fresh(4).route(k));
             hit[s] = true;
             assert_eq!(svc.put(k, k + 1), Ok(None));
         }

@@ -1023,6 +1023,11 @@ pub struct NetClient {
     acc: Vec<u8>,
     next_corr: u64,
     in_flight: usize,
+    /// The shared socket's current mode. Reader and writer share one
+    /// file description, so a nonblocking reap would leave writes
+    /// nonblocking too — and a `WouldBlock` part-way through a frame
+    /// tears the stream. Tracked so the ioctl runs only on a change.
+    nonblocking: bool,
 }
 
 impl NetClient {
@@ -1038,7 +1043,19 @@ impl NetClient {
             acc: Vec::new(),
             next_corr: 1,
             in_flight: 0,
+            nonblocking: false,
         })
+    }
+
+    /// Switch the shared socket's mode, if it differs.
+    fn set_nonblocking(&mut self, on: bool) -> Result<(), NetError> {
+        if self.nonblocking != on {
+            self.stream
+                .set_nonblocking(on)
+                .map_err(|e| NetError::Io(e.kind()))?;
+            self.nonblocking = on;
+        }
+        Ok(())
     }
 
     /// A kill handle for the disconnect sweeps.
@@ -1068,6 +1085,8 @@ impl NetClient {
         self.next_corr += 1;
         self.scratch.clear();
         encode_request(&mut self.scratch, corr, deadline.as_micros() as u64, ops);
+        // Frames go out whole: a blocking write waits out a full buffer.
+        self.set_nonblocking(false)?;
         self.writer
             .write_frame(&self.scratch)
             .map_err(|e| NetError::Io(e.kind()))?;
@@ -1083,9 +1102,7 @@ impl NetClient {
         if let Some(r) = self.take_buffered()? {
             return Ok(r);
         }
-        self.stream
-            .set_nonblocking(false)
-            .map_err(|e| NetError::Io(e.kind()))?;
+        self.set_nonblocking(false)?;
         loop {
             let mut chunk = [0u8; 4096];
             match self.stream.read(&mut chunk) {
@@ -1106,9 +1123,7 @@ impl NetClient {
         if let Some(r) = self.take_buffered()? {
             return Ok(Some(r));
         }
-        self.stream
-            .set_nonblocking(true)
-            .map_err(|e| NetError::Io(e.kind()))?;
+        self.set_nonblocking(true)?;
         loop {
             let mut chunk = [0u8; 4096];
             match self.stream.read(&mut chunk) {

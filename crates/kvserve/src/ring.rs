@@ -50,7 +50,10 @@ pub struct Ticket {
 }
 
 impl Ticket {
-    /// The slot index this ticket occupies (diagnostic only).
+    /// The slot index this ticket occupies. No other ticket of the ring
+    /// gets the slot until this one is reaped (or abandoned by a
+    /// timed-out [`Ring::wait_deadline`]), so it identifies the ticket
+    /// among those in flight.
     pub fn slot(&self) -> usize {
         self.slot as usize
     }

@@ -1,7 +1,7 @@
 //! Property tests for request routing and the single/cross-shard split.
 //!
 //! Over random op batches, shard counts and slot moves:
-//! - `partition_by_shard` is a true partition (every op exactly once, in
+//! - `partition_by_table` is a true partition (every op exactly once, in
 //!   its key's shard, groups ordered by first appearance);
 //! - the versioned routing table routes every key to exactly one live
 //!   shard before, during and after any sequence of slot reassignments,
@@ -19,7 +19,7 @@ use proptest::proptest;
 use std::collections::HashMap;
 
 use kvserve::{
-    op_key, partition_by_shard, Follower, LogEntry, LogKind, MapOp, MigrateSpec, RoutingTable,
+    op_key, partition_by_table, Follower, LogEntry, LogKind, MapOp, MigrateSpec, RoutingTable,
     Service, ServiceConfig, ROUTE_SLOTS,
 };
 
@@ -62,7 +62,7 @@ proptest! {
         shards in 1usize..9,
         ops in proptest::collection::vec(op_strategy(), 0..32),
     ) {
-        let groups = partition_by_shard(&ops, shards);
+        let groups = partition_by_table(&ops, &RoutingTable::fresh(shards));
         let mut seen = vec![false; ops.len()];
         let mut first_seen_order = Vec::new();
         for (s, idxs) in &groups {
@@ -145,7 +145,7 @@ proptest! {
         let mut model: HashMap<u64, u64> = HashMap::new();
         let mut expect_cross = 0u64;
         for ops in &batches {
-            if partition_by_shard(ops, shards).len() > 1 {
+            if partition_by_table(ops, &RoutingTable::fresh(shards)).len() > 1 {
                 expect_cross += 1;
             }
             let expected: Vec<Option<u64>> =

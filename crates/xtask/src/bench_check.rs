@@ -3,9 +3,10 @@
 //!
 //! CI runs this over the committed artifacts and over a fresh open-loop
 //! smoke run, so the artifact schema cannot drift from what the bench
-//! binary emits: every cell must carry a throughput, the p50/p95/p99
-//! submit-to-complete percentiles, and the flushes/fences-per-committed-
-//! op persist accounting; the file-level summary must record the peak
+//! binary emits: every cell must carry a throughput in ops and in
+//! requests per second, the p50/p95/p99 client-side submit-to-reap
+//! percentiles, and the flushes/fences-per-committed-op persist
+//! accounting; the file-level summary must record the peak
 //! in-flight depth. `--min-depth N` additionally requires
 //! `summary.max_in_flight >= N` — the acceptance gate proving the
 //! open-loop generator actually sustained N requests in flight from a
@@ -289,7 +290,10 @@ pub fn validate(doc: &Val, min_depth: Option<u64>, max_flushes: Option<f64>) -> 
             for (i, cell) in cells.iter().enumerate() {
                 let mut cell_errors = Vec::new();
                 let tput = require_num(cell, "tput_ops_per_sec", &mut cell_errors);
-                if tput < 0.0 {
+                // Completed load in requests too, the unit `offered`
+                // counts, so multi-op mixes compare against it.
+                let reqs = require_num(cell, "tput_reqs_per_sec", &mut cell_errors);
+                if tput < 0.0 || reqs < 0.0 {
                     cell_errors.push("negative throughput".into());
                 }
                 for q in ["p50", "p95", "p99"] {
@@ -406,6 +410,7 @@ mod tests {
   "cells": [
     {{
       "tput_ops_per_sec": 20000.5,
+      "tput_reqs_per_sec": 20000.5,
       "max_in_flight": {summary_depth},
       "latency_us": {{"p50": 10.2, "p95": 41.0, "p99": null}},
       "persist": {{"flushes_per_op": 1.29, "fences_per_op": 0.86}}
@@ -464,6 +469,10 @@ mod tests {
   "cells": [{"tput_ops_per_sec": 100, "max_in_flight": 8, "latency_us": {"p50": 1}}]
 }"#;
         let errs = validate(&parse(text).unwrap(), None, None);
+        assert!(
+            errs.iter().any(|e| e.contains("tput_reqs_per_sec")),
+            "{errs:?}"
+        );
         assert!(
             errs.iter().any(|e| e.contains("latency_us.p95")),
             "{errs:?}"

@@ -187,6 +187,40 @@ fn malformed_frames_close_the_connection_without_panic() {
     server.stop();
 }
 
+#[test]
+fn sends_after_a_nonblocking_reap_never_tear_a_frame() {
+    // A raw peer that reads nothing for a while, so the client's sends
+    // must fill both socket buffers and wait, then drains and decodes.
+    const FRAMES: u64 = 1024;
+    let ops: Vec<MapOp> = (0..1024).map(|k| MapOp::Insert(k, k + 1)).collect();
+    let listener = std::net::TcpListener::bind(("127.0.0.1", 0)).unwrap();
+    let addr = listener.local_addr().unwrap();
+    let expected = ops.clone();
+    let peer = std::thread::spawn(move || {
+        let (mut s, _) = listener.accept().unwrap();
+        std::thread::sleep(Duration::from_millis(200));
+        let mut scratch = Vec::new();
+        for corr in 1..=FRAMES {
+            match kvserve::net::read_frame(&mut s, &mut scratch) {
+                Ok(kvserve::net::Frame::Request(r)) => {
+                    assert_eq!(r.corr, corr, "frame out of sequence");
+                    assert_eq!(r.ops, expected, "frame {corr} decoded torn");
+                }
+                other => panic!("frame {corr} did not decode: {other:?}"),
+            }
+        }
+    });
+    let mut client = NetClient::connect(addr).unwrap();
+    // The reap flips the shared socket nonblocking; no response is due.
+    assert!(client.try_recv().unwrap().is_none());
+    // ~17 MiB: far more than the send and receive buffers hold, so a
+    // nonblocking write would stop part-way through a frame.
+    for corr in 1..=FRAMES {
+        assert_eq!(client.send_batch(&ops), Ok(corr), "send {corr} failed");
+    }
+    peer.join().unwrap();
+}
+
 /// The crash sweep's request load: `depth` single-shard puts to fresh
 /// keys plus one cross-shard batch, all pipelined on one connection.
 struct CycleLoad {
